@@ -1,5 +1,5 @@
 # Local targets mirror .github/workflows/ci.yml exactly, so `make ci`
-# reproduces the gate a PR must pass. The workflow runs three parallel
+# reproduces the gate a PR must pass. The workflow runs four parallel
 # jobs; the union of their steps is what `ci` chains serially:
 #
 #   lint job        -> fmt-check vet
@@ -9,6 +9,7 @@
 #                      cells-determinism obs-smoke obs-determinism
 #                      overload-smoke batch-smoke batch-determinism
 #                      chaos-smoke chaos-determinism
+#   perfbench job   -> perfbench-smoke
 #
 # (bench-regress and vuln stay advisory in both places.)
 
@@ -17,7 +18,7 @@ GO ?= go
 # Hot-path benchmarks compared by bench-save / bench-compare.
 BENCH_PATTERN ?= BenchmarkEngineFire|BenchmarkEngineCancel|BenchmarkScheduleDecision|BenchmarkScheduleRound1024|BenchmarkStreamingReplay|BenchmarkRouterRoute|BenchmarkMultiCellReplay
 
-.PHONY: all build test race vet fmt fmt-check bench bench-smoke snapshot ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism bench-save bench-compare bench-regress vuln ci
+.PHONY: all build test race vet fmt fmt-check bench bench-smoke perfbench-smoke snapshot ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism bench-save bench-compare bench-regress vuln ci
 
 all: build
 
@@ -47,6 +48,23 @@ bench:
 # One iteration per benchmark: the CI smoke pass.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The repository benchmark (perfbench/, a module of its own): vet and
+# test the benchmark's code, then run every workload for a few seconds
+# and fail unless each run's closing JSON line reports "correct":true.
+# Mirrored in CI as the perfbench job.
+PERFBENCH_WORKLOADS ?= fleet-1024 locality-48 live-http
+
+perfbench-smoke:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		line="$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 --trace 0 | tail -n 1)"; \
+		case "$$line" in \
+		*'"correct":true'*) echo "perfbench $$w: correct" ;; \
+		*) echo "perfbench $$w: not correct: $$line"; exit 1 ;; \
+		esac; \
+	done
 
 # Machine-readable perf snapshot (schema in EXPERIMENTS.md). The cell
 # sweep is not part of `-exp all`; regenerate its artifact with
@@ -187,4 +205,4 @@ bench-regress:
 vuln:
 	-$(GO) run golang.org/x/vuln/cmd/govulncheck@latest ./...
 
-ci: fmt-check vet build race bench-smoke ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism
+ci: fmt-check vet build race perfbench-smoke bench-smoke ci-snapshot elasticity-smoke heterogeneity-smoke scale-smoke cells-smoke cells-determinism obs-smoke obs-determinism overload-smoke batch-smoke batch-determinism chaos-smoke chaos-determinism

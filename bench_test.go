@@ -303,23 +303,39 @@ func BenchmarkAutoscaleDecision(b *testing.B) {
 // schedBackend is a synthetic core.Backend over a large cluster used by
 // BenchmarkScheduleDecision. In scan mode it reproduces the seed's
 // lookup shape: GPUsCaching walks every GPU and idle GPUs are found by
-// scanning Busy. The indexed variant (idleListerBackend wrapper +
-// precomputed holder lists) is the shape the cluster backend has after
-// the Cache-Manager-index / idle-set refactor.
+// scanning Busy. The indexed variant (precomputed idle set and holder
+// lists) is the shape the cluster backend has after the
+// Cache-Manager-index / idle-set refactor.
 type schedBackend struct {
 	ids     []string
 	busy    []bool                     // ord-indexed
 	cached  map[string]map[string]bool // gpuID -> model set
 	holders map[string][]core.Ord      // model -> GPU ords, ascending
+	idle    []core.Ord                 // indexed mode: the non-busy ords
 	indexed bool
 }
 
-func (s *schedBackend) Ords() []core.Ord {
-	out := make([]core.Ord, len(s.ids))
-	for i := range s.ids {
-		out[i] = core.Ord(i)
+func (s *schedBackend) IdleOrds() []core.Ord {
+	if s.indexed {
+		return s.idle
+	}
+	// Seed shape: recompute the idle set by scanning every GPU.
+	var out []core.Ord
+	for o, busy := range s.busy {
+		if !busy {
+			out = append(out, core.Ord(o))
+		}
 	}
 	return out
+}
+
+// setAllIdle frees every GPU (the steady fixtures' fully idle fleet).
+func (s *schedBackend) setAllIdle() {
+	s.idle = s.idle[:0]
+	for o := range s.busy {
+		s.busy[o] = false
+		s.idle = append(s.idle, core.Ord(o))
+	}
 }
 func (s *schedBackend) OrdBound() core.Ord { return core.Ord(len(s.ids)) }
 func (s *schedBackend) OrdOf(id string) (core.Ord, bool) {
@@ -357,18 +373,9 @@ func (s *schedBackend) InferTime(o core.Ord, m string, batch int) time.Duration 
 	return 12 * time.Millisecond
 }
 
-// idleListerBackend adds the core.IdleLister extension, so the scheduler
-// iterates the precomputed idle set instead of scanning.
-type idleListerBackend struct {
-	*schedBackend
-	idle []core.Ord
-}
-
-func (b idleListerBackend) IdleOrds() []core.Ord { return b.idle }
-
 // newSchedBackend builds a 64-GPU, 192-model cluster snapshot: half the
 // GPUs busy, each model resident on up to two GPUs.
-func newSchedBackend(indexed bool) (core.Backend, *schedBackend) {
+func newSchedBackend(indexed bool) *schedBackend {
 	const gpus, mdls = 64, 192
 	s := &schedBackend{
 		busy:    make([]bool, gpus),
@@ -397,16 +404,12 @@ func newSchedBackend(indexed bool) (core.Backend, *schedBackend) {
 			}
 		}
 	}
-	if !indexed {
-		return s, s
-	}
-	var idle []core.Ord
 	for g := range s.ids {
 		if !s.busy[g] {
-			idle = append(idle, core.Ord(g))
+			s.idle = append(s.idle, core.Ord(g))
 		}
 	}
-	return idleListerBackend{schedBackend: s, idle: idle}, s
+	return s
 }
 
 // schedRequests builds a deterministic queue of n requests over the
@@ -445,8 +448,8 @@ func scheduleOnce(b testing.TB, backend core.Backend, n int) []core.Dispatch {
 // indexed backend (incremental idle set + holder lists) and the
 // scan-based backend produce identical dispatch sequences.
 func TestScheduleDecisionEquivalence(t *testing.T) {
-	idxBackend, _ := newSchedBackend(true)
-	scanBackend, _ := newSchedBackend(false)
+	idxBackend := newSchedBackend(true)
+	scanBackend := newSchedBackend(false)
 	di := scheduleOnce(t, idxBackend, 256)
 	ds := scheduleOnce(t, scanBackend, 256)
 	if len(di) != len(ds) {
@@ -476,7 +479,7 @@ func BenchmarkScheduleDecision(b *testing.B) {
 	for _, mode := range []string{"indexed", "scan"} {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
-			backend, _ := newSchedBackend(mode == "indexed")
+			backend := newSchedBackend(mode == "indexed")
 			var dispatches int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -490,16 +493,9 @@ func BenchmarkScheduleDecision(b *testing.B) {
 		// enqueued (idle holders mean a hit elsewhere or a miss here, and
 		// never a park), so pool requests recycle only after dispatch and
 		// the measured shape is fixed regardless of b.N.
-		_, raw := newSchedBackend(true)
-		for i := range raw.busy {
-			raw.busy[i] = false
-		}
-		idle := make([]core.Ord, len(raw.ids))
-		for i := range idle {
-			idle[i] = core.Ord(i)
-		}
-		s, err := core.New(core.Config{Policy: core.LALBO3, O3Limit: core.DefaultO3Limit},
-			idleListerBackend{schedBackend: raw, idle: idle})
+		raw := newSchedBackend(true)
+		raw.setAllIdle()
+		s, err := core.New(core.Config{Policy: core.LALBO3, O3Limit: core.DefaultO3Limit}, raw)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -549,16 +545,9 @@ func TestHotpathZeroAlloc(t *testing.T) {
 	t.Run("steady_decision", func(t *testing.T) {
 		// The steady fixture from BenchmarkScheduleDecision: fully idle
 		// 64-GPU fleet, so every round dispatches exactly one request.
-		_, raw := newSchedBackend(true)
-		for i := range raw.busy {
-			raw.busy[i] = false
-		}
-		idle := make([]core.Ord, len(raw.ids))
-		for i := range idle {
-			idle[i] = core.Ord(i)
-		}
-		s, err := core.New(core.Config{Policy: core.LALBO3, O3Limit: core.DefaultO3Limit},
-			idleListerBackend{schedBackend: raw, idle: idle})
+		raw := newSchedBackend(true)
+		raw.setAllIdle()
+		s, err := core.New(core.Config{Policy: core.LALBO3, O3Limit: core.DefaultO3Limit}, raw)
 		if err != nil {
 			t.Fatal(err)
 		}

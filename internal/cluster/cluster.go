@@ -52,10 +52,6 @@ type Config struct {
 	// DisableLocalQueue is the finish-time-estimation ablation knob
 	// (core.Config.DisableLocalQueue).
 	DisableLocalQueue bool
-	// ScanPlacement selects the scheduler's reference scan-placement
-	// path (core.Config.ScanPlacement); decision-identical, used as the
-	// benchmark baseline for the indexed path.
-	ScanPlacement bool
 	// MaxBatch caps how many same-model requests one dispatch may
 	// coalesce into a single batched GPU launch (core.Config.MaxBatch).
 	// <= 1 disables batching entirely: decisions and reports are then
@@ -459,7 +455,6 @@ func New(cfg Config) (*Cluster, error) {
 		Policy:            cfg.Policy,
 		O3Limit:           cfg.O3Limit,
 		DisableLocalQueue: cfg.DisableLocalQueue,
-		ScanPlacement:     cfg.ScanPlacement,
 		MaxBatch:          cfg.MaxBatch,
 		BatchWait:         cfg.BatchWait,
 	}, (*backendView)(c))
@@ -1106,27 +1101,15 @@ func (f *fleetView) scaleDown(n int, gpuType string) []string {
 // an index view (holder lists), never a string-keyed map probe.
 type backendView Cluster
 
-// Ords returns the current members' ordinals in registration order. Only
-// the scheduler's no-IdleLister fallback iterates this; the cluster
-// always provides IdleOrds, so the allocation here is off the hot path.
-func (b *backendView) Ords() []ordset.Ord {
-	out := make([]ordset.Ord, 0, len(b.gpuIDs))
-	for _, id := range b.gpuIDs {
-		if o, ok := b.cacheMgr.Ord(id); ok {
-			out = append(out, o)
-		}
-	}
-	return out
-}
-
 func (b *backendView) OrdBound() ordset.Ord { return b.cacheMgr.OrdBound() }
 func (b *backendView) OrdOf(gpuID string) (ordset.Ord, bool) {
 	return b.cacheMgr.Ord(gpuID)
 }
 func (b *backendView) IDOf(o ordset.Ord) string { return b.cacheMgr.IDOf(o) }
 
-// IdleOrds implements core.IdleLister: the incrementally-maintained idle
-// set, ascending. Read-only view for the duration of one Schedule call.
+// IdleOrds is the incrementally-maintained idle set, ascending: active,
+// non-busy members only (provisioning GPUs join on activation, removed
+// ones leave in finishRemove). Read-only view for one Schedule call.
 func (b *backendView) IdleOrds() []ordset.Ord { return b.idle }
 
 func (b *backendView) Busy(o ordset.Ord) bool {
@@ -1475,12 +1458,27 @@ func (c *Cluster) seriesTick(now sim.Time) {
 		cm.Requests, cm.Misses, c.completed)
 }
 
-// Submit enqueues one request and runs the scheduler; the live gateway
-// path. The request's Arrival must be set by the caller (gateway receipt
-// time).
+// Submit enqueues one request and runs the scheduler. The request's
+// Arrival must be set by the caller and must not precede an earlier
+// submission's; an out-of-order arrival is rejected.
 func (c *Cluster) Submit(req *core.Request) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.submitLocked(req)
+}
+
+// SubmitNow is Submit for live callers: it stamps req.Arrival with the
+// cluster clock under the lock that orders enqueue, so concurrent
+// submitters reach the scheduler in arrival order by construction.
+func (c *Cluster) SubmitNow(req *core.Request) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	req.Arrival = c.clock.Now()
+	return c.submitLocked(req)
+}
+
+// submitLocked enqueues and schedules; the caller holds c.mu.
+func (c *Cluster) submitLocked(req *core.Request) error {
 	if err := c.sched.Enqueue(req); err != nil {
 		return err
 	}

@@ -196,13 +196,11 @@ func (s *refSched) llb(gpuID string, idx int, now time.Duration, busy func(strin
 	return []Dispatch{{Req: r, GPU: gpuID, ExpectHit: false}}, true
 }
 
-// TestScheduleEquivalence drives the indexed Scheduler, the retained
-// scan-placement Scheduler and the pre-refactor oracle through identical
-// randomized workloads — arrivals, completions, cache churn, draining
-// flips — and requires identical dispatch sequences at every round, for
-// all three policies. The scan scheduler consumes its own Request clones
-// (both real schedulers mutate the shared skip counter; the oracle keeps
-// its counts in a side table).
+// TestScheduleEquivalence drives the Scheduler and the pre-refactor
+// oracle through identical randomized workloads — arrivals, completions,
+// cache churn, draining flips — and requires identical dispatch sequences
+// at every round, for all three policies. The oracle keeps its skip
+// counts in a side table, so both can share the Request objects.
 func TestScheduleEquivalence(t *testing.T) {
 	models := []string{"m0", "m1", "m2", "m3", "m4", "m5"}
 	policies := []struct {
@@ -223,30 +221,20 @@ func TestScheduleEquivalence(t *testing.T) {
 					time.Duration(1+rng.Intn(3))*time.Second)
 			}
 			s := newSched(t, pc.p, pc.limit, b)
-			// Force the index on: the randomized workloads stay below the
-			// activation depth, and the point of this suite is to check
-			// the indexed findWork/llb path against the oracle (the
-			// below-threshold walk is textually the scan path, which the
-			// scan scheduler covers).
-			s.activateIndex()
-			scan, err := New(Config{Policy: pc.p, O3Limit: pc.limit, ScanPlacement: true}, b)
-			if err != nil {
-				t.Fatal(err)
-			}
 			ref := newRefSched(pc.p, pc.limit, b)
 
-			compare := func(round int, label string, got, want []Dispatch) {
+			compare := func(round int, got, want []Dispatch) {
 				t.Helper()
 				if len(got) != len(want) {
-					t.Fatalf("%v seed=%d round %d (%s): %d dispatches, oracle %d\n got: %+v\nwant: %+v",
-						pc.p, seed, round, label, len(got), len(want), got, want)
+					t.Fatalf("%v seed=%d round %d: %d dispatches, oracle %d\n got: %+v\nwant: %+v",
+						pc.p, seed, round, len(got), len(want), got, want)
 				}
 				for i := range got {
 					if got[i].Req.ID != want[i].Req.ID || got[i].GPU != want[i].GPU ||
 						got[i].ExpectHit != want[i].ExpectHit ||
 						got[i].FromLocalQueue != want[i].FromLocalQueue {
-						t.Fatalf("%v seed=%d round %d dispatch %d (%s): got %+v, oracle %+v",
-							pc.p, seed, round, i, label, got[i], want[i])
+						t.Fatalf("%v seed=%d round %d dispatch %d: got %+v, oracle %+v",
+							pc.p, seed, round, i, got[i], want[i])
 					}
 				}
 			}
@@ -274,11 +262,7 @@ func TestScheduleEquivalence(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0, 1: // arrival
 					r := &Request{ID: int64(round), Model: models[rng.Intn(len(models))], BatchSize: 32, Arrival: now}
-					clone := *r
 					if err := s.Enqueue(r); err != nil {
-						t.Fatal(err)
-					}
-					if err := scan.Enqueue(&clone); err != nil {
 						t.Fatal(err)
 					}
 					ref.enqueue(r)
@@ -294,20 +278,16 @@ func TestScheduleEquivalence(t *testing.T) {
 					g := names[rng.Intn(nGPU)]
 					on := rng.Intn(2) == 0
 					s.SetDraining(g, on)
-					scan.SetDraining(g, on)
 					ref.draining[g] = on
 				}
 				got := s.Schedule(now)
-				want := ref.schedule(now)
-				compare(round, "indexed", got, want)
-				compare(round, "scan", scan.Schedule(now), want)
+				compare(round, got, ref.schedule(now))
 				apply(got)
 				now += time.Second
 			}
 			// Drain: clear draining flags and complete everything.
 			for _, g := range names {
 				s.SetDraining(g, false)
-				scan.SetDraining(g, false)
 				ref.draining[g] = false
 			}
 			for round := 60; round < 300 && (s.PendingTotal() > 0 || anyBusy(b)); round++ {
@@ -316,9 +296,7 @@ func TestScheduleEquivalence(t *testing.T) {
 					b.finish[g] = 0
 				}
 				got := s.Schedule(now)
-				want := ref.schedule(now)
-				compare(round, "indexed", got, want)
-				compare(round, "scan", scan.Schedule(now), want)
+				compare(round, got, ref.schedule(now))
 				apply(got)
 				now += time.Second
 			}
@@ -327,9 +305,6 @@ func TestScheduleEquivalence(t *testing.T) {
 			}
 			if s.PendingTotal() != 0 {
 				t.Fatalf("%v seed=%d: %d requests never drained", pc.p, seed, s.PendingTotal())
-			}
-			if scan.PendingTotal() != 0 {
-				t.Fatalf("%v seed=%d: scan path left %d requests pending", pc.p, seed, scan.PendingTotal())
 			}
 		}
 	}

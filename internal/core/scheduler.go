@@ -31,19 +31,22 @@
 // ring-buffer deque with tombstoned O(1) mid-queue removal, and the
 // dispatch slice is pooled across Schedule calls.
 //
-// Placement selection is indexed: a per-model list of queued positions
-// answers "first queued request whose model is cached on this GPU" in
-// O(distinct queued models) instead of an O(queue) walk, the
-// LocalityLoadBalance idle-holder pick walks the smaller of (idle set,
-// holder list), and the busy-holder finish-time argmin is memoized per
+// There is one placement path, and it is indexed. Idle candidates come
+// from the backend's incrementally maintained idle list (Backend.IdleOrds),
+// which is authoritative for the round: only GPUs taken earlier in the
+// same round are filtered out, and Busy is probed only on holders, which
+// may be busy. A per-model list of queued positions, maintained from the
+// first enqueue, answers "first queued request whose model is cached on
+// this GPU" in O(distinct queued models) instead of an O(queue) walk; the
+// LocalityLoadBalance idle-holder pick walks the smaller of (idle list,
+// holder list); and the busy-holder finish-time argmin is memoized per
 // (round, model) over round-frozen finish estimates. All of it is
-// decision-identical to the straight scan, which is retained behind
-// Config.ScanPlacement as the reference baseline (benchmarked as the
-// `scan` rows, cross-checked by TestScheduleEquivalence). The load-
-// bearing invariant is that a request's out-of-order skip count is
-// non-increasing along the live queue — every scan increments a clean
-// prefix — so the only position that can trip the starvation limit is
-// the queue head, and the skip bump is a uniform prefix increment.
+// decision-identical to the paper's straight per-request walk, which
+// TestScheduleEquivalence keeps as a test-only oracle. The load-bearing
+// invariant is that a request's out-of-order skip count is non-increasing
+// along the live queue — every walk increments a clean prefix — so the
+// only position that can trip the starvation limit is the queue head,
+// and the skip bump is a uniform prefix increment.
 //
 // Batching (Config.MaxBatch > 1): whatever request a policy decides to
 // dispatch, the scheduler then drains up to MaxBatch-1 further queued
@@ -163,9 +166,14 @@ func (r *Request) Visits() int { return r.visits }
 // mutation through it. GPUs are addressed by their dense registration
 // ordinal; OrdOf/IDOf translate at the (cold) string boundary.
 type Backend interface {
-	// Ords returns the current members' ordinals in registration order.
-	// Only the no-IdleLister fallback path iterates it.
-	Ords() []Ord
+	// IdleOrds returns the schedulable idle GPUs — exactly the active,
+	// non-busy members — in ascending ordinal (registration) order.
+	// Backends maintain it incrementally from busy transitions (the
+	// cluster does, from GPU status events), so a round costs the idle
+	// count, not the fleet size. The scheduler trusts it without
+	// re-probing Busy and treats the slice as a read-only view valid for
+	// the duration of one Schedule call.
+	IdleOrds() []Ord
 	// OrdBound returns one past the highest ordinal ever assigned
 	// (monotone; sizes the scheduler's Ord-indexed state).
 	OrdBound() Ord
@@ -174,7 +182,8 @@ type Backend interface {
 	// IDOf returns the GPU ID for a live ordinal (interned: the returned
 	// string is shared, not allocated per call).
 	IDOf(o Ord) string
-	// Busy reports whether the GPU is executing a request.
+	// Busy reports whether the GPU is executing a request. The scheduler
+	// asks it only about cache holders, which need not be idle.
 	Busy(o Ord) bool
 	// Cached reports whether the model is resident on the GPU.
 	Cached(o Ord, model string) bool
@@ -194,17 +203,6 @@ type Backend interface {
 	// InferTime returns the profiled inference latency on the GPU for
 	// the batch size.
 	InferTime(o Ord, model string, batch int) time.Duration
-}
-
-// IdleLister is an optional Backend extension. Backends that track busy
-// transitions incrementally (the cluster harness does, from GPU status
-// events) expose the current idle set here so Schedule iterates only the
-// idle GPUs instead of scanning every GPU each round. The slice must be
-// ascending (registration order) and is treated as a read-only view valid
-// for the duration of one Schedule call. Backends without the extension
-// fall back to a Busy() scan over Ords().
-type IdleLister interface {
-	IdleOrds() []Ord
 }
 
 // Dispatch is one decision returned by Schedule: run Req on GPU now.
@@ -242,12 +240,6 @@ type Config struct {
 	// quantifying the finish-time-estimation mechanism; the paper's
 	// schedulers keep it enabled.
 	DisableLocalQueue bool
-	// ScanPlacement selects the straight-scan placement path (per-request
-	// queue walk, linear holder argmin) instead of the indexed one. Both
-	// produce identical dispatch sequences; the scan path exists as the
-	// reference baseline for the schedule-round benchmarks and the
-	// equivalence suite.
-	ScanPlacement bool
 	// MaxBatch caps how many same-model requests one dispatch may
 	// coalesce into a single batched execution. <= 1 disables coalescing
 	// entirely: the scheduler takes exactly the legacy single-dispatch
@@ -346,7 +338,6 @@ type Scheduler struct {
 	limit   int
 	noPark  bool
 	backend Backend
-	idle    IdleLister // non-nil when the backend tracks idle GPUs
 
 	// global is the system-wide arrival-ordered queue: a ring-buffer
 	// deque with tombstoned removal, so out-of-order extraction (O3
@@ -368,17 +359,7 @@ type Scheduler struct {
 	// out is the pooled dispatch slice returned by Schedule, valid until
 	// the next Schedule call.
 	out []Dispatch
-	// idleScratch backs the fallback (no IdleLister) candidate scan.
-	idleScratch []Ord
 
-	// Indexed-placement state (unused under scanPlacement).
-	scanPlacement bool
-	// indexed flips on the first time the global queue crosses
-	// indexActivateLen and stays on: a shallow steady-state queue keeps
-	// the zero-overhead walk (the index would cost more to maintain
-	// than the one-position scan it replaces), while deep queues build
-	// the index once — O(threshold) — and maintain it incrementally.
-	indexed bool
 	// byModel maps each queued model to its ascending queue positions;
 	// maintained on enqueue/extract, rebuilt when the ring compacts
 	// (ringVer tracks reqRing.ver). Emptied lists stay in the map (the
@@ -456,28 +437,19 @@ func New(cfg Config, backend Backend) (*Scheduler, error) {
 	if cfg.BatchWait < 0 {
 		return nil, fmt.Errorf("core: negative BatchWait %v", cfg.BatchWait)
 	}
-	il, _ := backend.(IdleLister)
 	s := &Scheduler{
-		policy:        cfg.Policy,
-		limit:         limit,
-		noPark:        cfg.DisableLocalQueue,
-		backend:       backend,
-		idle:          il,
-		scanPlacement: cfg.ScanPlacement,
-		maxBatch:      cfg.MaxBatch,
-		batchWait:     cfg.BatchWait,
-	}
-	if !s.scanPlacement {
-		s.memo = make(map[string]llbMemo)
+		policy:    cfg.Policy,
+		limit:     limit,
+		noPark:    cfg.DisableLocalQueue,
+		backend:   backend,
+		maxBatch:  cfg.MaxBatch,
+		batchWait: cfg.BatchWait,
+		byModel:   make(map[string]*posList),
+		memo:      make(map[string]llbMemo),
 	}
 	s.grow(backend.OrdBound())
 	return s, nil
 }
-
-// indexActivateLen is the global-queue depth at which the per-model
-// position index switches on (and stays on). Below it, the plain walk
-// touches fewer positions than the index bookkeeping would.
-const indexActivateLen = 64
 
 // grow extends the Ord-indexed state to cover ordinals < bound (elastic
 // membership only ever raises the bound).
@@ -551,7 +523,7 @@ func (s *Scheduler) RemoveGPU(gpuID string) error {
 	return nil
 }
 
-// PolicyName returns the configured policy.
+// Policy returns the configured policy.
 func (s *Scheduler) Policy() Policy { return s.policy }
 
 // O3Limit returns the effective starvation limit.
@@ -571,23 +543,13 @@ func (s *Scheduler) Enqueue(r *Request) error {
 		return fmt.Errorf("core: out-of-order enqueue: %v after %v", r.Arrival, last.Arrival)
 	}
 	s.global.push(r)
-	if s.indexed {
-		if s.global.ver != s.ringVer {
-			// The push compacted the ring, renumbering every position:
-			// rebuild the per-model index (the walk is the same O(n) the
-			// compaction itself just paid, and includes this request).
-			s.rebuildIndex()
-		} else {
-			s.indexAdd(r.Model, s.global.tail-1)
-		}
-	} else if s.global.len() >= indexActivateLen {
-		// Only out-of-order dispatch (limit > 0) and batch coalescing
-		// (MaxBatch > 1) ever look past the head for a same-model
-		// request; LB and in-order LALB without batching keep the index
-		// off — it would be pure maintenance overhead.
-		if !s.scanPlacement && (s.limit > 0 || s.maxBatch > 1) {
-			s.activateIndex()
-		}
+	if s.global.ver != s.ringVer {
+		// The push compacted the ring, renumbering every position:
+		// rebuild the per-model index (the walk is the same O(n) the
+		// compaction itself just paid, and includes this request).
+		s.rebuildIndex()
+	} else {
+		s.indexAdd(r.Model, s.global.tail-1)
 	}
 	return nil
 }
@@ -610,9 +572,7 @@ func (s *Scheduler) Requeue(r *Request) error {
 		r.visits = s.global.at(s.global.headPos()).visits
 	}
 	s.global.pushFront(r)
-	if s.indexed {
-		s.rebuildIndex()
-	}
+	s.rebuildIndex()
 	return nil
 }
 
@@ -634,20 +594,6 @@ func (s *Scheduler) DrainLocal(gpuID string) []*Request {
 	s.localSum[o] = 0
 	s.parkGen++
 	return out
-}
-
-// activateIndex switches the per-model position index on (idempotent;
-// a no-op under ScanPlacement). Exposed to tests so the equivalence
-// suite can exercise the indexed path below the activation depth.
-func (s *Scheduler) activateIndex() {
-	if s.indexed || s.scanPlacement {
-		return
-	}
-	s.indexed = true
-	if s.byModel == nil {
-		s.byModel = make(map[string]*posList)
-	}
-	s.rebuildIndex()
 }
 
 // indexAdd records a queued request's position under its model.
@@ -695,22 +641,19 @@ func (s *Scheduler) rebuildIndex() {
 }
 
 // extract removes the live request at a position, keeping the per-model
-// index in sync. Every indexed-path extraction goes through here; the
-// scan path mutates the ring directly (it has no index to maintain).
+// index in sync. Every extraction from the global queue goes through here.
 func (s *Scheduler) extract(pos int) *Request {
 	r := s.global.remove(pos)
-	if s.indexed {
-		pl := s.lastPL
-		if pl == nil || s.lastModel != r.Model {
-			pl = s.byModel[r.Model]
-			s.lastModel, s.lastPL = r.Model, pl
-		}
-		pl.remove(pos)
-		if pl.empty() {
-			s.liveModels--
-			if n := len(s.byModel); n > 32 && n > 4*s.liveModels {
-				s.pruneIndex()
-			}
+	pl := s.lastPL
+	if pl == nil || s.lastModel != r.Model {
+		pl = s.byModel[r.Model]
+		s.lastModel, s.lastPL = r.Model, pl
+	}
+	pl.remove(pos)
+	if pl.empty() {
+		s.liveModels--
+		if n := len(s.byModel); n > 32 && n > 4*s.liveModels {
+			s.pruneIndex()
 		}
 	}
 	return r
@@ -806,9 +749,6 @@ func (s *Scheduler) taken(o Ord) bool { return s.takenEpoch[o] == s.epoch }
 // markTaken consumes the GPU for the rest of this round.
 func (s *Scheduler) markTaken(o Ord) { s.takenEpoch[o] = s.epoch }
 
-// busyOrTaken folds the backend's busy state with this round's takes.
-func (s *Scheduler) busyOrTaken(o Ord) bool { return s.taken(o) || s.backend.Busy(o) }
-
 // Schedule runs the configured policy to completion for the current
 // cluster state: it keeps assigning requests until no idle GPU can accept
 // one. The returned dispatches must be executed (GPUs become busy) by the
@@ -846,14 +786,14 @@ func (s *Scheduler) Schedule(now sim.Time) []Dispatch {
 
 	// Backend busy state is stable for the duration of a Schedule call
 	// (the harness executes the returned dispatches afterwards), so the
-	// idle candidates are computed once; GPUs consumed mid-call are
-	// filtered through the epoch-stamped taken set.
-	idle := s.idleCandidates()
+	// backend's idle list is read once and is authoritative; GPUs
+	// consumed mid-call are filtered through the epoch-stamped taken set.
+	idle := s.backend.IdleOrds()
 	s.roundIdle = idle
 	for {
 		progressed := false
 		for _, o := range idle {
-			if s.busyOrTaken(o) {
+			if s.taken(o) {
 				continue
 			}
 			if s.scheduleIdleGPU(o, now) {
@@ -864,22 +804,6 @@ func (s *Scheduler) Schedule(now sim.Time) []Dispatch {
 			return s.out
 		}
 	}
-}
-
-// idleCandidates returns the idle GPUs in deterministic order: the
-// backend's incremental idle set when available, otherwise a Busy scan
-// over all GPUs (same order either way, so decisions are identical).
-func (s *Scheduler) idleCandidates() []Ord {
-	if s.idle != nil {
-		return s.idle.IdleOrds()
-	}
-	s.idleScratch = s.idleScratch[:0]
-	for _, o := range s.backend.Ords() {
-		if !s.backend.Busy(o) {
-			s.idleScratch = append(s.idleScratch, o)
-		}
-	}
-	return s.idleScratch
 }
 
 // PendingWake returns the earliest BatchWait linger deadline the last
@@ -904,7 +828,7 @@ func (s *Scheduler) lingerHold(now sim.Time) bool {
 	if now >= deadline {
 		return false
 	}
-	if s.queuedOfModel(r.Model, s.maxBatch) >= s.maxBatch {
+	if s.queuedOfModel(r.Model) >= s.maxBatch {
 		return false
 	}
 	if !s.hasWake || deadline < s.pendingWake {
@@ -914,30 +838,19 @@ func (s *Scheduler) lingerHold(now sim.Time) bool {
 	return true
 }
 
-// queuedOfModel counts queued requests of the model, stopping at stop.
-func (s *Scheduler) queuedOfModel(model string, stop int) int {
-	if s.indexed {
-		pl, ok := s.byModel[model]
-		if !ok {
-			return 0
-		}
-		return len(pl.pos) - pl.start
+// queuedOfModel counts queued requests of the model.
+func (s *Scheduler) queuedOfModel(model string) int {
+	pl, ok := s.byModel[model]
+	if !ok {
+		return 0
 	}
-	n := 0
-	for p := s.global.head; p < s.global.tail && n < stop; p++ {
-		if r := s.global.at(p); r != nil && r.Model == model {
-			n++
-		}
-	}
-	return n
+	return len(pl.pos) - pl.start
 }
 
 // coalesceLast drains up to MaxBatch-1 additional queued requests with
 // the primary's model — in arrival order — out of the global queue and
-// into the just-appended dispatch's Batch. With the per-model index
-// active the collection is O(batch·log queue); the shallow-queue walk
-// visits ring positions directly, yielding the identical ascending-
-// position member set. Extracted members bump no skip counts: removing
+// into the just-appended dispatch's Batch, in O(batch·log queue) through
+// the per-model index. Extracted members bump no skip counts: removing
 // elements from the queue preserves the monotone-skip invariant (a
 // subsequence of a non-increasing sequence is non-increasing).
 func (s *Scheduler) coalesceLast() {
@@ -947,21 +860,13 @@ func (s *Scheduler) coalesceLast() {
 	d := &s.out[len(s.out)-1]
 	model := d.Req.Model
 	batch := s.grabBatchSlice()
-	if s.indexed {
-		pl := s.byModel[model]
-		for pl != nil && !pl.empty() && 1+len(batch) < s.maxBatch {
-			p := pl.first(s.global.head)
-			if p < 0 {
-				break
-			}
-			batch = append(batch, s.extract(p))
+	pl := s.byModel[model]
+	for pl != nil && !pl.empty() && 1+len(batch) < s.maxBatch {
+		p := pl.first(s.global.head)
+		if p < 0 {
+			break
 		}
-	} else {
-		for p := s.global.head; p < s.global.tail && 1+len(batch) < s.maxBatch; p++ {
-			if r := s.global.at(p); r != nil && r.Model == model {
-				batch = append(batch, s.extract(p))
-			}
-		}
+		batch = append(batch, s.extract(p))
 	}
 	s.finishBatch(d, batch)
 }
@@ -1061,15 +966,10 @@ func (s *Scheduler) scheduleIdleGPU(o Ord, now sim.Time) bool {
 		s.coalesceLast()
 		return true
 	}
-	if s.scanPlacement || !s.indexed {
-		// Shallow queues (and the reference baseline) keep the plain
-		// walk; scanPlacement additionally selects the unmemoized llb.
-		return s.findWorkScan(o, now, n0)
-	}
 	return s.findWork(o, now, n0)
 }
 
-// findWork is Algorithm 1 lines 6–22 on the indexed path. Instead of
+// findWork is Algorithm 1 lines 6–22. Instead of
 // walking the queue per request it relies on the monotone-skip invariant
 // (visits is non-increasing along the live queue, so only the head can
 // be starved) and the per-model position index (the first request cached
@@ -1103,7 +1003,7 @@ func (s *Scheduler) findWork(o Ord, now sim.Time, n0 int) bool {
 		}
 		// The head is uncached here and under the limit — and by the
 		// monotone-skip invariant so is everything behind it, so the
-		// scan's stop is the first queued request cached on o.
+		// walk's stop is the first queued request cached on o.
 		if s.global.len() == 1 {
 			// Nothing behind the head to jump to.
 			r.visits++
@@ -1240,11 +1140,12 @@ func (s *Scheduler) llb(o Ord, pos int, now sim.Time) bool {
 // nor busy nor taken this round (-1 when none). When the round's idle
 // list is the smaller side it drives the walk — on a saturated fleet the
 // idle list is a handful of GPUs while a hot model's holder list grows
-// with the fleet.
+// with the fleet. Idle-list members are idle by contract, so only the
+// holder-side walk probes Busy.
 func (s *Scheduler) firstFreeHolder(o Ord, holders []Ord) Ord {
 	if len(s.roundIdle) < len(holders) {
 		for _, g := range s.roundIdle {
-			if s.draining.get(g) || s.busyOrTaken(g) {
+			if s.draining.get(g) || s.taken(g) {
 				continue
 			}
 			if ordset.Contains(holders, g) {
@@ -1258,9 +1159,8 @@ func (s *Scheduler) firstFreeHolder(o Ord, holders []Ord) Ord {
 			continue
 		}
 		// h == o is the robustness case (the caller only reaches llb
-		// when the model is not cached on o); o is idle and untaken, so
-		// it folds into the busyOrTaken test.
-		if h == o || !s.busyOrTaken(h) {
+		// when the model is not cached on o); o is idle and untaken.
+		if h == o || !(s.taken(h) || s.backend.Busy(h)) {
 			return h
 		}
 	}
@@ -1301,121 +1201,4 @@ func (s *Scheduler) frozenEst(o Ord, now sim.Time) time.Duration {
 		s.estVal[o] = s.backend.EstimatedFinish(o, now)
 	}
 	return s.estVal[o]
-}
-
-// findWorkScan is Algorithm 1 lines 6–22 on the reference scan path: it
-// walks ring positions request by request, enforcing the out-of-order
-// starvation limit along the way. Tombstones (removed mid-scan by LLB
-// placements) are skipped.
-func (s *Scheduler) findWorkScan(o Ord, now sim.Time, n0 int) bool {
-	pos := s.global.headPos()
-	for pos < s.global.tail {
-		r := s.global.at(pos)
-		if r == nil {
-			pos++
-			continue
-		}
-		if s.backend.Cached(o, r.Model) {
-			// The ring's head is kept tombstone-free, so any position
-			// past it has a live request ahead: an out-of-order jump.
-			if pos > s.global.headPos() {
-				s.o3Dispatches++
-			}
-			s.global.remove(pos)
-			s.markTaken(o)
-			s.out = append(s.out, Dispatch{Req: r, GPU: s.backend.IDOf(o), ExpectHit: true})
-			s.coalesceLast()
-			return true
-		}
-		if r.visits >= s.limit {
-			if r.visits > 0 && s.limit > 0 {
-				s.starved++
-			}
-			if s.llbScan(o, pos, now) {
-				return true
-			}
-			// The request left the queue for another GPU (or a local
-			// queue); its slot is tombstoned — re-examine from the same
-			// position, which now resolves to the next live request.
-			continue
-		}
-		r.visits++
-		pos++
-	}
-	for s.global.len() > 0 {
-		before := s.global.len()
-		if s.llbScan(o, s.global.headPos(), now) {
-			return true
-		}
-		if s.global.len() == before {
-			break
-		}
-	}
-	return len(s.out) > n0
-}
-
-// llbScan is llb on the reference scan path: straight holder walks, no
-// memoization.
-func (s *Scheduler) llbScan(o Ord, pos int, now sim.Time) bool {
-	r := s.global.at(pos)
-	holders := s.backend.GPUsCaching(r.Model)
-
-	if len(holders) == 0 {
-		s.global.remove(pos)
-		s.markTaken(o)
-		s.out = append(s.out, Dispatch{Req: r, GPU: s.backend.IDOf(o), ExpectHit: false})
-		s.coalesceLast()
-		return true
-	}
-
-	for _, h := range holders {
-		if s.draining.get(h) {
-			continue
-		}
-		if h == o {
-			s.global.remove(pos)
-			s.markTaken(o)
-			s.out = append(s.out, Dispatch{Req: r, GPU: s.backend.IDOf(o), ExpectHit: true})
-			s.coalesceLast()
-			return true
-		}
-		if !s.busyOrTaken(h) {
-			s.global.remove(pos)
-			s.markTaken(h)
-			s.out = append(s.out, Dispatch{Req: r, GPU: s.backend.IDOf(h), ExpectHit: true})
-			s.coalesceLast()
-			return false
-		}
-	}
-
-	if !s.noPark {
-		best := Ord(-1)
-		var bestFinish time.Duration
-		for _, h := range holders {
-			if s.draining.get(h) {
-				continue
-			}
-			fin := s.estFinish(h, now)
-			if best < 0 || fin < bestFinish {
-				best, bestFinish = h, fin
-			}
-		}
-		if best >= 0 && bestFinish < s.backend.LoadTime(o, r.Model) {
-			s.global.remove(pos)
-			infer := s.backend.InferTime(best, r.Model, r.BatchSize)
-			s.local[best] = append(s.local[best], parked{req: r, infer: infer})
-			if n := len(s.local[best]); n > s.peakLocal {
-				s.peakLocal = n
-			}
-			s.localSum[best] += infer
-			s.moves++
-			return false
-		}
-	}
-
-	s.global.remove(pos)
-	s.markTaken(o)
-	s.out = append(s.out, Dispatch{Req: r, GPU: s.backend.IDOf(o), ExpectHit: false})
-	s.coalesceLast()
-	return true
 }

@@ -40,10 +40,12 @@ func (m *mockBackend) setModel(model string, load, infer time.Duration) {
 // The mock keeps its state in string-keyed maps for test readability and
 // adapts to the ord-based Backend at the boundary: ordinals are indices
 // into the gpus slice.
-func (m *mockBackend) Ords() []Ord {
-	out := make([]Ord, len(m.gpus))
-	for i := range m.gpus {
-		out[i] = Ord(i)
+func (m *mockBackend) IdleOrds() []Ord {
+	var out []Ord
+	for i, g := range m.gpus {
+		if !m.busy[g] {
+			out = append(out, Ord(i))
+		}
 	}
 	return out
 }

@@ -22,13 +22,15 @@ func cellTestParams() RunParams {
 // TestCellsGoldenEquivalenceK1 pins the tentpole's compatibility claim
 // directly against the committed goldens: a K=1 multi-cell run of every
 // golden cell — through the router, the cell filter and the
-// materialized per-cell replay — must reproduce
-// testdata/golden_reports.json byte for byte.
+// per-cell replay — must reproduce testdata/golden_reports.json byte for
+// byte. Cells replay the way their golden was recorded: materialized,
+// or through the streaming injector for the streaming scale cell (whose
+// report carries the streaming counters).
 func TestCellsGoldenEquivalenceK1(t *testing.T) {
 	specs := goldenSpecs()
 	entries := make([]goldenEntry, 0, len(specs))
 	for _, s := range specs {
-		res, err := RunCells(CellParams{Run: s.Params, Cells: 1, Materialize: true})
+		res, err := RunCells(CellParams{Run: s.Params, Cells: 1, Materialize: !s.Params.Streaming})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}

@@ -202,9 +202,6 @@ type RunParams struct {
 	// Report carrying Streaming statistics — instead of materializing
 	// the full request slice. The scale sweep runs this way.
 	Streaming bool
-	// ScanPlacement runs the scheduler's reference scan path (the
-	// benchmark baseline; decisions are identical to the indexed path).
-	ScanPlacement bool
 	// StreamChunk caps arrivals per injected batch under Streaming
 	// (<= 0: one trace minute per batch).
 	StreamChunk int
@@ -245,7 +242,6 @@ func buildConfig(p RunParams) (cluster.Config, WorkloadParams, error) {
 		cfg.O3Limit = *p.O3Limit
 	}
 	cfg.DisableLocalQueue = p.DisableLocalQueue
-	cfg.ScanPlacement = p.ScanPlacement
 	if p.CachePolicy != "" {
 		cfg.CachePolicy = p.CachePolicy
 	}

@@ -9,7 +9,9 @@ package experiments
 // the optimization unchanged. Cells cover all three policies at the
 // paper's hardest working set plus churn-heavy elasticity runs (GPUs
 // provisioned and drain-decommissioned mid-trace under both autoscale
-// policies).
+// policies), and one fleet-scale streaming cell whose global queue
+// grows to ~200 entries, pinning the per-model position index at
+// scale.
 //
 // Regenerate (only when an intentional behavior change lands) with:
 //
@@ -31,7 +33,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_re
 // one autoscaled run per policy flavor (diurnal/target-util and
 // burst/step), which exercise elastic membership churn, and one
 // mixed-fleet tiered-autoscale run pinning heterogeneous membership
-// (per-type profiles, classed scale events, cost accounting).
+// (per-type profiles, classed scale events, cost accounting), and one
+// shortened 256-GPU scale cell (streaming replay, queue depth ~200).
 func goldenSpecs() []Spec {
 	var specs []Spec
 	for _, pol := range PaperPolicies {
@@ -51,6 +54,13 @@ func goldenSpecs() []Spec {
 			specs = append(specs, s)
 		}
 	}
+	for _, s := range ScaleSpecs(true) {
+		if s.Name == "scale/gpus=256/min=12" {
+			s.Name = "golden/scale/gpus=256/min=2"
+			s.Params.Workload.Minutes = 2
+			specs = append(specs, s)
+		}
+	}
 	return specs
 }
 
@@ -63,8 +73,8 @@ type goldenEntry struct {
 
 func TestReportGolden(t *testing.T) {
 	specs := goldenSpecs()
-	if len(specs) != 6 {
-		t.Fatalf("golden cells = %d, want 6 (did an elasticity/heterogeneity spec get renamed?)", len(specs))
+	if len(specs) != 7 {
+		t.Fatalf("golden cells = %d, want 7 (did an elasticity/heterogeneity/scale spec get renamed?)", len(specs))
 	}
 	entries := make([]goldenEntry, 0, len(specs))
 	for _, s := range specs {

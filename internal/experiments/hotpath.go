@@ -108,18 +108,15 @@ func Hotpath() ([]HotpathRow, error) {
 	}))
 	rows = append(rows, row)
 
-	// The 1024-GPU round: the saturated deep-queue regime, scan baseline
-	// first so its measurement rides along as the indexed row's inline
-	// baseline (and as its own row for benchregress).
-	scanRow := HotpathRow{Name: "schedule_round/1024gpus_scan"}
-	scanRow.fill(testing.Benchmark(func(b *testing.B) { scheduleRound1024(b, true) }))
-	rows = append(rows, scanRow)
+	// The 1024-GPU round: the saturated deep-queue regime. The inline
+	// baseline is the straight-scan placement path's last committed
+	// measurement (the scan path has since been removed; same fixture).
 	idxRow := HotpathRow{
 		Name:                "schedule_round/1024gpus",
-		BaselineNsPerOp:     scanRow.NsPerOp,
-		BaselineAllocsPerOp: scanRow.AllocsPerOp,
+		BaselineNsPerOp:     209048.3,
+		BaselineAllocsPerOp: 4,
 	}
-	idxRow.fill(testing.Benchmark(func(b *testing.B) { scheduleRound1024(b, false) }))
+	idxRow.fill(testing.Benchmark(scheduleRound1024))
 	rows = append(rows, idxRow)
 
 	// The front-door routing decision at the 16-cell shard width: the
@@ -179,8 +176,8 @@ func Hotpath() ([]HotpathRow, error) {
 // a handful at a time), a burst-deep global queue of 1024 requests drawn
 // from 32 hot models, and hot models resident on ~340 busy GPUs each
 // (duplicates scale with the fleet). None of the queue is cached on the
-// idle GPUs, so the scan baseline walks the full queue per idle GPU and
-// runs a full holder argmin per placement, while the indexed path
+// idle GPUs, so a straight scan would walk the full queue per idle GPU
+// and run a full holder argmin per placement; the scheduler instead
 // consults the per-model position index, walks the idle side of the
 // holder intersection, and reuses the memoized argmin across the round.
 const (
@@ -238,13 +235,6 @@ func newRoundBackend() *roundBackend {
 
 func roundModel(m int) string { return fmt.Sprintf("hot%02d", m) }
 
-func (bk *roundBackend) Ords() []core.Ord {
-	out := make([]core.Ord, len(bk.ids))
-	for i := range out {
-		out[i] = core.Ord(i)
-	}
-	return out
-}
 func (bk *roundBackend) OrdBound() core.Ord { return core.Ord(len(bk.ids)) }
 func (bk *roundBackend) OrdOf(id string) (core.Ord, bool) {
 	for i, s := range bk.ids {
@@ -276,7 +266,7 @@ func (bk *roundBackend) IdleOrds() []core.Ord                          { return 
 // count). Requests arrive in blocks of eight per model, so the round's
 // successive head placements repeat models — the shape a bursty hot
 // model produces.
-func scheduleRound1024(b *testing.B, scan bool) {
+func scheduleRound1024(b *testing.B) {
 	bk := newRoundBackend()
 	reqs := make([]*core.Request, roundQueueDepth)
 	for i := range reqs {
@@ -290,11 +280,7 @@ func scheduleRound1024(b *testing.B, scan bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, err := core.New(core.Config{
-			Policy:        core.LALBO3,
-			O3Limit:       core.DefaultO3Limit,
-			ScanPlacement: scan,
-		}, bk)
+		s, err := core.New(core.Config{Policy: core.LALBO3, O3Limit: core.DefaultO3Limit}, bk)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,14 +3,9 @@ package experiments
 import "testing"
 
 // BenchmarkScheduleRound1024 measures one full scheduling round on the
-// saturated 1024-GPU deep-queue fixture (see hotpath.go) with the
-// indexed placement path; BenchmarkScheduleRound1024Scan is the
-// decision-identical scan baseline. The pair backs the scale rows in
-// the gpufaas-bench/v1 snapshot.
-func BenchmarkScheduleRound1024(b *testing.B) { scheduleRound1024(b, false) }
-
-// BenchmarkScheduleRound1024Scan is the reference scan baseline.
-func BenchmarkScheduleRound1024Scan(b *testing.B) { scheduleRound1024(b, true) }
+// saturated 1024-GPU deep-queue fixture (see hotpath.go); it backs the
+// schedule_round/1024gpus row in the gpufaas-bench/v1 snapshot.
+func BenchmarkScheduleRound1024(b *testing.B) { scheduleRound1024(b) }
 
 // BenchmarkStreamingReplay replays the 64-GPU / 6-minute scale cell end
 // to end through trace.ArrivalStream + cluster.RunWorkloadStream — the

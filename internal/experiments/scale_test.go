@@ -75,24 +75,3 @@ func TestScaleSweepArenaBounded(t *testing.T) {
 			long.ArenaAllocated, long.ArenaReused, long.Requests)
 	}
 }
-
-// TestScaleIndexedMatchesScanPlacement runs one scale cell on both
-// placement paths: the indexed scheduler must reproduce the scan
-// baseline's report exactly (dispatch-for-dispatch, so every derived
-// metric matches) at fleet scale, not just in the core-level oracle.
-func TestScaleIndexedMatchesScanPlacement(t *testing.T) {
-	p := ScaleSpecs(true)[0].Params
-	p.Workload.Minutes = 4
-	indexed, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.ScanPlacement = true
-	scan, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(indexed, scan) {
-		t.Fatalf("indexed and scan placement diverge:\nindexed: %+v\nscan: %+v", indexed, scan)
-	}
-}

@@ -362,7 +362,6 @@ func (ic *InferenceClient) Drop(id int64, cause error) {
 // Predict schedules one inference of the function's model and waits for
 // completion.
 func (ic *InferenceClient) Predict(spec FunctionSpec, batch int) (gpumgr.Result, error) {
-	arrival := ic.clock.Now()
 	ic.mu.Lock()
 	ic.nextID++
 	id := ic.nextID
@@ -371,12 +370,13 @@ func (ic *InferenceClient) Predict(spec FunctionSpec, batch int) (gpumgr.Result,
 	cell := 0
 	if ic.router != nil {
 		// The router is not safe for concurrent use; the client's lock
-		// is its serialization point.
+		// is its serialization point. Its arrival stamp only feeds the
+		// routing decision; the cell stamps the scheduled request.
 		cell = ic.router.Route(trace.Request{
 			ID:        id,
 			Function:  spec.Name,
 			Model:     spec.Model,
-			Arrival:   time.Duration(arrival),
+			Arrival:   time.Duration(ic.clock.Now()),
 			BatchSize: batch,
 		})
 	}
@@ -386,12 +386,13 @@ func (ic *InferenceClient) Predict(spec FunctionSpec, batch int) (gpumgr.Result,
 	req.Function = spec.Name
 	req.Model = spec.Model
 	req.BatchSize = batch
-	req.Arrival = arrival
 	req.Tenant = spec.Tenant
 	ic.inflight[id] = req
 	ic.mu.Unlock()
 
-	if err := ic.cells[cell].Submit(req); err != nil {
+	// The cell stamps the request's arrival under its own lock: a stamp
+	// taken here could reach the scheduler after a later one.
+	if err := ic.cells[cell].SubmitNow(req); err != nil {
 		// Enqueue failed: the request never reached the scheduler, so
 		// no completion or drop can race the recycle here.
 		ic.mu.Lock()
